@@ -231,23 +231,13 @@ pub(crate) fn route_multicast<M: Clone>(
         }
         CostModel::Hops => {
             // charge the Steiner-tree cost once; deliver along
-            // shortest paths, truncated at crashed nodes. The remote
-            // slice is the target set itself unless the sender is a
-            // member (the only case that still copies).
+            // shortest paths, truncated at crashed nodes. The set goes to
+            // the accounting as is: it ignores the sender if a member.
             let routing = env.routing.expect("Hops model builds routing");
             let self_in_set = targets.contains(from);
-            let filtered: Vec<NodeId>;
-            let remote: &[NodeId] = if self_in_set {
-                filtered = targets.iter().filter(|&t| t != from).collect();
-                &filtered
-            } else {
-                targets.as_slice()
-            };
-            if let Some(cost) = multicast_cost(routing, from, remote) {
-                c.passes += cost;
-            } else {
+            let Some(cost) = multicast_cost(routing, from, targets.as_slice()) else {
                 // unreachable targets: fall back to per-target routing
-                for &t in remote {
+                for t in targets.iter().filter(|&t| t != from) {
                     route(env, now, from, t, msg.clone(), c, emit);
                 }
                 // plus local copy if requested
@@ -261,8 +251,9 @@ pub(crate) fn route_multicast<M: Clone>(
                     emit(now, Event::Deliver(env_msg));
                 }
                 return;
-            }
-            c.sends += remote.len() as u64;
+            };
+            c.passes += cost;
+            c.sends += (targets.len() - usize::from(self_in_set)) as u64;
             for t in targets.iter() {
                 if t == from {
                     let env_msg = Envelope {

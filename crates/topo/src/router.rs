@@ -51,6 +51,15 @@ pub trait Router {
     /// scan — fine for the beam/reverse-path uses this serves).
     fn for_each_neighbor(&self, v: NodeId, f: &mut dyn FnMut(NodeId));
 
+    /// `true` when [`for_each_neighbor`](Router::for_each_neighbor) is
+    /// closed-form and visits only a few nodes, so hot loops may
+    /// enumerate neighborhoods (ring, grid/torus, hypercube). The default
+    /// `false` covers the table, whose neighborhood is an O(n) row scan,
+    /// and K_n, whose neighborhood is everyone else.
+    fn has_small_neighborhood(&self) -> bool {
+        false
+    }
+
     /// Walks the canonical shortest path from `a` to `b` hop by hop,
     /// yielding each node *after* `a` (the final item is `b`).
     /// Allocation-free; empty when `a == b` or `b` is unreachable.
@@ -230,6 +239,10 @@ impl Router for RingRouter {
             f(NodeId::new(succ.max(pred)));
         }
     }
+
+    fn has_small_neighborhood(&self) -> bool {
+        true
+    }
 }
 
 /// p×q mesh (`grid(pxq)`) or torus (`torus(pxq)`, `wrap = true`).
@@ -338,6 +351,10 @@ impl Router for GridRouter {
             }
         }
     }
+
+    fn has_small_neighborhood(&self) -> bool {
+        true
+    }
 }
 
 /// d-cube (`hypercube(d)`): distance is Hamming. The canonical next hop
@@ -399,6 +416,10 @@ impl Router for HypercubeRouter {
                 f(NodeId::new(v.raw() ^ (1 << i)));
             }
         }
+    }
+
+    fn has_small_neighborhood(&self) -> bool {
+        true
     }
 }
 
@@ -534,6 +555,16 @@ impl Router for AnyRouter {
             AnyRouter::Grid(r) => r.for_each_neighbor(v, f),
             AnyRouter::Hypercube(r) => r.for_each_neighbor(v, f),
             AnyRouter::Table(r) => Router::for_each_neighbor(r, v, f),
+        }
+    }
+
+    fn has_small_neighborhood(&self) -> bool {
+        match self {
+            AnyRouter::Complete(r) => r.has_small_neighborhood(),
+            AnyRouter::Ring(r) => r.has_small_neighborhood(),
+            AnyRouter::Grid(r) => r.has_small_neighborhood(),
+            AnyRouter::Hypercube(r) => r.has_small_neighborhood(),
+            AnyRouter::Table(r) => Router::has_small_neighborhood(r),
         }
     }
 }

@@ -81,16 +81,25 @@ impl SpanningTree {
 ///
 /// Builds a Steiner-tree approximation: targets are connected in ascending
 /// node order, each through the canonical shortest path from its nearest
-/// *anchor* — the source or an earlier-connected target, first-scanned wins
-/// a distance tie — and each edge reaching a not-yet-covered node counts as
-/// one message pass. Shared path prefixes are charged once. Duplicate
-/// targets and `src` itself are ignored.
+/// *anchor* — the source (rank 0) or an earlier-connected target (ranks
+/// 1.., in connection order), the lowest rank winning a distance tie — and
+/// each edge reaching a not-yet-covered node counts as one message pass.
+/// Shared path prefixes are charged once. Duplicate targets and `src`
+/// itself are ignored; input that is already strictly ascending (a
+/// `TargetSet`) is used in place, anything else is sorted first.
 ///
-/// The accounting uses only [`Router::distance`] and [`Router::hops`], so
-/// the cost of computing the cost is O(|targets|² + Σ path lengths) —
-/// independent of which backend routes, and never O(n·|targets|²) like a
-/// tree-membership scan would be. That is what keeps hop-cost multicast
-/// feasible at n = 1,048,576.
+/// The accounting uses only [`Router`] queries, so no materialized graph
+/// or table is needed. Finding the nearest anchor is neighbor-first on
+/// routers with [a small neighborhood](Router::has_small_neighborhood):
+/// distinct nodes are at least one hop apart, so an anchor adjacent to the
+/// target is nearest, and the lowest-ranked such anchor is the one the
+/// full scan would pick. That costs O(degree · log |targets|) per target,
+/// so a contiguous set (a checkerboard row or column on a grid or torus)
+/// costs O(|targets| · degree · log |targets|) to account. Only targets
+/// with no adjacent anchor, and every target on the other routers, fall
+/// back to a scan over all anchors that stops at the first one hop away:
+/// O(|targets|² + Σ path lengths) in the worst case. Every call also
+/// zeroes an O(n) covered-node bitmap.
 ///
 /// Returns `None` if some target is unreachable from `src`.
 ///
@@ -111,31 +120,32 @@ impl SpanningTree {
 /// assert_eq!(cost, 4);
 /// ```
 pub fn multicast_cost<R: Router>(rt: &R, src: NodeId, targets: &[NodeId]) -> Option<u64> {
-    let n = rt.node_count();
-    let mut covered = vec![false; n];
+    let resorted: Vec<NodeId>;
+    let sorted: &[NodeId] = if targets.windows(2).all(|w| w[0] < w[1]) {
+        targets
+    } else {
+        let mut v = targets.to_vec();
+        v.sort_unstable();
+        v.dedup();
+        resorted = v;
+        &resorted
+    };
+    let neighbor_first = rt.has_small_neighborhood();
+    let mut covered = vec![false; rt.node_count()];
     covered[src.index()] = true;
-    let sorted: Vec<NodeId> = targets
-        .iter()
-        .copied()
-        .filter(|&t| t != src)
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let mut anchors: Vec<NodeId> = Vec::with_capacity(sorted.len() + 1);
-    anchors.push(src);
     let mut cost = 0u64;
 
-    for &t in &sorted {
-        // nearest anchor; on ties the earliest-connected anchor wins.
-        let mut best: Option<(u32, NodeId)> = None;
-        for &a in &anchors {
-            if let Some(d) = rt.distance(a, t) {
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, a));
-                }
-            }
+    for (k, &t) in sorted.iter().enumerate() {
+        if t == src {
+            continue;
         }
-        let (_, attach) = best?;
+        // `sorted[..k]` may hold `src` again; as a later duplicate of rank
+        // 0 it never wins, so the anchors need no filtering.
+        let earlier = &sorted[..k];
+        let attach = neighbor_first
+            .then(|| adjacent_anchor(rt, src, earlier, t))
+            .flatten()
+            .or_else(|| nearest_anchor(rt, src, earlier, t))?;
         // walk the canonical shortest path without materializing it; each
         // edge reaching a new node is one message pass.
         for hop in rt.hops(attach, t) {
@@ -144,9 +154,49 @@ pub fn multicast_cost<R: Router>(rt: &R, src: NodeId, targets: &[NodeId]) -> Opt
                 cost += 1;
             }
         }
-        anchors.push(t);
     }
     Some(cost)
+}
+
+/// The lowest-ranked anchor adjacent to `t`: `src` if it is a neighbor,
+/// else the lowest-numbered neighbor in the ascending `earlier` (rank
+/// order is node order there). `None` when no anchor is one hop away.
+fn adjacent_anchor<R: Router>(
+    rt: &R,
+    src: NodeId,
+    earlier: &[NodeId],
+    t: NodeId,
+) -> Option<NodeId> {
+    let mut found = None;
+    // neighbors arrive in ascending order, so the first hit in `earlier`
+    // is its lowest; only `src` may still displace it
+    rt.for_each_neighbor(t, &mut |u| {
+        if found == Some(src) {
+            return;
+        }
+        if u == src || (found.is_none() && earlier.binary_search(&u).is_ok()) {
+            found = Some(u);
+        }
+    });
+    found
+}
+
+/// The nearest anchor to `t` by a scan in rank order (`src`, then
+/// `earlier`), the lowest rank winning a tie; `None` if none reaches `t`.
+fn nearest_anchor<R: Router>(rt: &R, src: NodeId, earlier: &[NodeId], t: NodeId) -> Option<NodeId> {
+    let mut best: Option<(u32, NodeId)> = None;
+    for a in std::iter::once(src).chain(earlier.iter().copied()) {
+        if let Some(d) = rt.distance(a, t) {
+            if best.is_none_or(|(bd, _)| d < bd) {
+                best = Some((d, a));
+                if d == 1 {
+                    // anchors are distinct from `t`: nothing is nearer
+                    break;
+                }
+            }
+        }
+    }
+    best.map(|(_, a)| a)
 }
 
 /// Message passes for a point-to-point send: the hop distance.
@@ -164,10 +214,217 @@ pub fn unicast_cost<R: Router>(rt: &R, src: NodeId, dst: NodeId) -> Option<u64> 
 mod tests {
     use super::*;
     use crate::gen;
+    use crate::router::AnyRouter;
     use crate::routing::RoutingTable;
+    use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// The O(|targets|²) accounting `multicast_cost` replaced: every
+    /// target scans every anchor. Kept as the exactness reference.
+    fn reference_cost<R: Router>(rt: &R, src: NodeId, targets: &[NodeId]) -> Option<u64> {
+        let n = rt.node_count();
+        let mut covered = vec![false; n];
+        covered[src.index()] = true;
+        let sorted: Vec<NodeId> = targets
+            .iter()
+            .copied()
+            .filter(|&t| t != src)
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let mut anchors: Vec<NodeId> = Vec::with_capacity(sorted.len() + 1);
+        anchors.push(src);
+        let mut cost = 0u64;
+
+        for &t in &sorted {
+            // nearest anchor; on ties the earliest-connected anchor wins.
+            let mut best: Option<(u32, NodeId)> = None;
+            for &a in &anchors {
+                if let Some(d) = rt.distance(a, t) {
+                    if best.is_none_or(|(bd, _)| d < bd) {
+                        best = Some((d, a));
+                    }
+                }
+            }
+            let (_, attach) = best?;
+            for hop in rt.hops(attach, t) {
+                if !covered[hop.index()] {
+                    covered[hop.index()] = true;
+                    cost += 1;
+                }
+            }
+            anchors.push(t);
+        }
+        Some(cost)
+    }
+
+    /// The anchor the reference scan attaches `sorted[k]` to.
+    fn reference_anchor(rt: &AnyRouter, src: NodeId, sorted: &[NodeId], k: usize) -> NodeId {
+        let t = sorted[k];
+        let mut best: Option<(u32, NodeId)> = None;
+        for a in std::iter::once(src).chain(sorted[..k].iter().copied().filter(|&a| a != src)) {
+            let d = rt.distance(a, t).expect("structured routers are connected");
+            if best.is_none_or(|(bd, _)| d < bd) {
+                best = Some((d, a));
+            }
+        }
+        best.expect("src is always an anchor").1
+    }
+
+    /// A structured router from a proptest draw: ring, grid, torus or
+    /// hypercube of at most 144 nodes, with its row length (1 if none).
+    fn structured(family: u8, a: usize, b: usize) -> (AnyRouter, usize) {
+        let (name, nodes, row) = match family {
+            0 => (format!("ring({a})"), a, a),
+            1 => (format!("grid({a}x{b})"), a * b, b),
+            2 => (format!("torus({a}x{b})"), a * b, b),
+            _ => {
+                let d = (a % 8) as u32;
+                (format!("hypercube({d})"), 1 << d, 1 << (d / 2))
+            }
+        };
+        let rt = AnyRouter::analytic_for(&name, nodes).expect("structured name");
+        (rt, row)
+    }
+
+    /// A target set of the given shape over an `nodes`-node router with
+    /// rows of length `row`, drawn from `rng`:
+    /// 0 a contiguous row, 1 a column (stride `row`), 2 a scattered random
+    /// subset, 3 an unsorted list with duplicates.
+    fn target_set(shape: u8, nodes: usize, row: usize, rng: &mut SplitMix) -> Vec<NodeId> {
+        let pick = |rng: &mut SplitMix| n((rng.next() % nodes as u64) as u32);
+        match shape {
+            0 => {
+                let start = (rng.next() % nodes as u64) as usize / row * row;
+                (start..(start + row).min(nodes))
+                    .map(|v| n(v as u32))
+                    .collect()
+            }
+            1 => {
+                let col = (rng.next() % row as u64) as usize;
+                (col..nodes).step_by(row).map(|v| n(v as u32)).collect()
+            }
+            2 => {
+                let mut v: Vec<NodeId> = (0..1 + rng.next() % 12).map(|_| pick(rng)).collect();
+                v.sort_unstable();
+                v.dedup();
+                v
+            }
+            _ => {
+                let mut v: Vec<NodeId> = (0..1 + rng.next() % 16).map(|_| pick(rng)).collect();
+                let dup = v[(rng.next() % v.len() as u64) as usize];
+                v.push(dup);
+                v.reverse();
+                v
+            }
+        }
+    }
+
+    /// A splitmix64 stream, so one drawn seed yields a whole case.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Neighbor-first search charges exactly what the full scan
+        /// charges, and attaches every target to the same anchor, on
+        /// every structured family and set shape. `src_mode` places the
+        /// source anywhere (0), inside the set (1), or next to a target
+        /// (2) — the last sets up a one-hop tie between rank 0 and a
+        /// later-connected target.
+        #[test]
+        fn multicast_cost_matches_the_full_scan(
+            family in 0u8..4,
+            a in 1usize..13,
+            b in 1usize..13,
+            shape in 0u8..4,
+            src_mode in 0u8..3,
+            seed in any::<u64>(),
+        ) {
+            let (rt, row) = structured(family, a, b);
+            prop_assert!(rt.has_small_neighborhood());
+            let nodes = rt.node_count();
+            let mut rng = SplitMix(seed);
+            let targets = target_set(shape, nodes, row, &mut rng);
+            let member = targets[(rng.next() % targets.len() as u64) as usize];
+            let src = match src_mode {
+                0 => n((rng.next() % nodes as u64) as u32),
+                1 => member,
+                _ => {
+                    let mut around = Vec::new();
+                    rt.for_each_neighbor(member, &mut |u| around.push(u));
+                    around.get((rng.next() % 4) as usize).copied().unwrap_or(member)
+                }
+            };
+            prop_assert_eq!(
+                multicast_cost(&rt, src, &targets),
+                reference_cost(&rt, src, &targets)
+            );
+            let mut sorted = targets.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            for (k, &t) in sorted.iter().enumerate() {
+                if t == src {
+                    continue;
+                }
+                let want = reference_anchor(&rt, src, &sorted, k);
+                if let Some(got) = adjacent_anchor(&rt, src, &sorted[..k], t) {
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(nearest_anchor(&rt, src, &sorted[..k], t), Some(want));
+            }
+        }
+    }
+
+    #[test]
+    fn only_small_closed_form_neighborhoods_go_neighbor_first() {
+        for g in [
+            gen::ring(8),
+            gen::grid(3, 4, false),
+            gen::grid(3, 4, true),
+            gen::hypercube(3),
+        ] {
+            assert!(
+                AnyRouter::for_graph(&g).has_small_neighborhood(),
+                "{}",
+                g.name()
+            );
+            assert!(
+                !AnyRouter::table_for(&g).has_small_neighborhood(),
+                "{}",
+                g.name()
+            );
+        }
+        assert!(!AnyRouter::for_graph(&gen::complete(8)).has_small_neighborhood());
+    }
+
+    #[test]
+    fn one_hop_tie_goes_to_the_source() {
+        // grid(3x4), row 1 = 4..8, source 1 sits above 5: when 5 connects,
+        // both 1 (rank 0) and 4 (rank 1) are one hop away
+        let rt = AnyRouter::for_graph(&gen::grid(3, 4, false));
+        let row: Vec<NodeId> = (4..8).map(n).collect();
+        assert_eq!(adjacent_anchor(&rt, n(1), &row[..1], n(5)), Some(n(1)));
+        assert_eq!(nearest_anchor(&rt, n(1), &row[..1], n(5)), Some(n(1)));
+        // without the source adjacent, the lowest earlier neighbor wins
+        assert_eq!(adjacent_anchor(&rt, n(11), &row[..1], n(5)), Some(n(4)));
+        assert_eq!(
+            multicast_cost(&rt, n(1), &row),
+            reference_cost(&rt, n(1), &row)
+        );
     }
 
     #[test]
