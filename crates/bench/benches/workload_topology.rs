@@ -15,15 +15,13 @@ use mm_workload::drive::{self, RunConfig};
 
 const TOPOLOGIES: [&str; 4] = ["grid", "torus", "hypercube", "ring"];
 
-/// One steady-state run on `topology` at `n`, sharded like the
-/// topology-scale campaign; returns deterministic executed-event count.
-fn run_cell(topology: &str, n: usize, shards: usize) -> u64 {
+/// One steady-state run on `topology` at `n`, like the topology-scale
+/// campaign; returns deterministic executed-event count.
+fn run_cell(topology: &str, n: usize) -> u64 {
     let mut cfg = RunConfig::new("steady-state", n, 7);
     cfg.topology = topology.to_string();
     cfg.cost = mm_sim::CostModel::Hops;
     cfg.router = RouterKind::Auto;
-    cfg.shards = shards;
-    cfg.shard_threads = shards.min(4);
     let report = drive::run(&cfg).expect("cell runs");
     report.events_executed()
 }
@@ -31,27 +29,27 @@ fn run_cell(topology: &str, n: usize, shards: usize) -> u64 {
 fn topology_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload_topology");
     group.sample_size(5);
-    // single-core cells at 65,536: big enough that a table would need
-    // 32 GiB, small enough to sample under criterion
+    // cells at 65,536: big enough that a table would need 32 GiB, small
+    // enough to sample under criterion
     for topology in TOPOLOGIES {
         group.bench_with_input(
             BenchmarkId::new("steady-state/hops", topology),
             &topology,
-            |b, &topology| b.iter(|| run_cell(topology, 65_536, 0)),
+            |b, &topology| b.iter(|| run_cell(topology, 65_536)),
         );
     }
     group.finish();
 }
 
 /// `TOPO_SNAPSHOT=path`: one timed pass per topology × {65,536 /
-/// 1,048,576}, sharded 8×4 like the topology-scale campaign. `events`
-/// and `passes` are deterministic; `secs` is host wall-clock.
+/// 1,048,576}, like the topology-scale campaign. `events` is
+/// deterministic; `secs` is host wall-clock.
 fn write_snapshot(path: &str) {
     let mut cases = Vec::new();
     for n in [65_536usize, 1 << 20] {
         for topology in TOPOLOGIES {
             let t0 = std::time::Instant::now();
-            let events = run_cell(topology, n, 8);
+            let events = run_cell(topology, n);
             let secs = t0.elapsed().as_secs_f64();
             eprintln!("steady-state/{topology} n={n}: {events} events in {secs:.3}s");
             cases.push(format!(

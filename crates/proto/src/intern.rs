@@ -25,17 +25,15 @@ const DEFAULT_ID_BUDGET: usize = 4 << 20;
 
 /// Memoizes `P(i, π)` / `Q(j, π)` resolver calls as shared [`TargetSet`]s.
 ///
-/// # Concurrency (sharded executor audit)
+/// # Concurrency
 ///
-/// The interner lives on the engine *coordinator* side and is only ever
-/// touched through `&mut self` between simulator rounds — shard worker
-/// threads never see it; they only hold the `TargetSet` clones already
-/// embedded in in-flight messages (safe: atomically refcounted, immutable
-/// contents). No interior mutability is involved anywhere on this path,
-/// so the sharded core introduced no new synchronization requirement
-/// here. The assertion below pins the types as `Send + Sync` so any
-/// future cell/`Rc`-based "optimization" of the cache is caught at
-/// compile time rather than as a data race.
+/// The interner is only ever touched through `&mut self` by the thread
+/// driving a run. The `TargetSet`s it hands out cross `LiveNet` worker
+/// threads inside in-flight messages, which is safe because they are
+/// atomically refcounted with immutable contents. The assertion below
+/// pins the types as `Send + Sync` so any future cell/`Rc`-based
+/// "optimization" of the cache is caught at compile time rather than as
+/// a data race.
 #[derive(Debug)]
 pub struct TargetInterner {
     post: HashMap<(NodeId, Port), TargetSet>,

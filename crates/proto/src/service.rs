@@ -73,25 +73,9 @@ impl<PM: PortMapped> ServiceNet<PM> {
         }
     }
 
-    /// Builds a service network on an explicit execution core (see
-    /// [`ShardMode`]); output is byte-identical across modes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolver universe differs from the graph size.
-    pub fn with_shards(
-        graph: Graph,
-        resolver: PM,
-        cost_model: CostModel,
-        kind: QueueKind,
-        mode: ShardMode,
-    ) -> Self {
-        Self::with_router(graph, resolver, cost_model, kind, mode, RouterKind::Auto)
-    }
-
     /// Builds a service network with an explicit routing backend as well
     /// (see [`RouterKind`]); routing is output-invariant like the queue
-    /// and core choices, so this only changes memory/speed.
+    /// choice, so this only changes memory/speed.
     ///
     /// # Panics
     ///
@@ -102,11 +86,17 @@ impl<PM: PortMapped> ServiceNet<PM> {
         resolver: PM,
         cost_model: CostModel,
         kind: QueueKind,
-        mode: ShardMode,
         router: RouterKind,
     ) -> Self {
         ServiceNet {
-            engine: ShotgunEngine::with_router(graph, resolver, cost_model, kind, mode, router),
+            engine: ShotgunEngine::with_router(
+                graph,
+                resolver,
+                cost_model,
+                kind,
+                ShardMode::Single,
+                router,
+            ),
         }
     }
 

@@ -369,32 +369,21 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
     ///
     /// Panics if the resolver's universe size differs from the graph's.
     pub fn with_queue(graph: Graph, resolver: PM, cost_model: CostModel, kind: QueueKind) -> Self {
-        Self::with_shards(graph, resolver, cost_model, kind, ShardMode::Single)
-    }
-
-    /// Builds an engine on an explicit execution core (see [`ShardMode`]).
-    /// `ProtoMsg` and `NsNode` are `Send` (plain data plus `TargetSet`,
-    /// whose sharing is an atomically refcounted `Arc`), so protocol state
-    /// may migrate to the sharded core's worker threads; output stays
-    /// byte-identical to [`ShardMode::Single`] by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolver's universe size differs from the graph's.
-    pub fn with_shards(
-        graph: Graph,
-        resolver: PM,
-        cost_model: CostModel,
-        kind: QueueKind,
-        mode: ShardMode,
-    ) -> Self {
-        Self::with_router(graph, resolver, cost_model, kind, mode, RouterKind::Auto)
+        Self::with_router(
+            graph,
+            resolver,
+            cost_model,
+            kind,
+            ShardMode::Single,
+            RouterKind::Auto,
+        )
     }
 
     /// Builds an engine with an explicit routing backend on top of the
-    /// queue and core choices (see [`RouterKind`]). All three axes are
-    /// output-invariant; the conformance suite uses this to pit analytic
-    /// routers against the table oracle.
+    /// queue choice (see [`RouterKind`]). Both axes are output-invariant;
+    /// the conformance suite uses this to pit analytic routers against
+    /// the table oracle. `ShardMode` has the single variant
+    /// [`ShardMode::Single`] and changes nothing.
     ///
     /// # Panics
     ///
@@ -405,7 +394,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
         resolver: PM,
         cost_model: CostModel,
         kind: QueueKind,
-        mode: ShardMode,
+        _mode: ShardMode,
         router: RouterKind,
     ) -> Self {
         assert_eq!(
@@ -416,7 +405,7 @@ impl<PM: PortMapped> ShotgunEngine<PM> {
         let n = graph.node_count();
         let nodes = (0..n).map(|_| NsNode::default()).collect();
         ShotgunEngine {
-            sim: Sim::with_router(graph, nodes, cost_model, kind, mode, router),
+            sim: Sim::with_router(graph, nodes, cost_model, kind, router),
             resolver,
             interner: TargetInterner::default(),
             next_locate: 0,

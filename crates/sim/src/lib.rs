@@ -16,14 +16,8 @@
 //! * fault injection — [`Sim::crash`]/[`Sim::restore`]: crashed processors
 //!   neither receive nor forward; messages die at the first crashed node
 //!   on their path, and the passes spent up to that point stay spent.
-//! * [`ShardMode`] — the execution core: `Single` is the original
-//!   one-queue event loop; `Sharded` partitions nodes across per-shard
-//!   calendar queues (keyed by the `√n` decomposition) and executes each
-//!   tick's events on a worker pool, with a canonical merge that replays
-//!   the single core's `(time, sequence)` order exactly. Output is
-//!   byte-identical across shard and thread counts — the single core is
-//!   the oracle the sharded core is cross-checked against, exactly as
-//!   [`QueueKind::BTree`] is the oracle for the calendar queue.
+//! * [`QueueKind`] — the event queue: the production calendar queue or
+//!   the `BTreeMap` reference queue, kept as the ordering oracle.
 //!
 //! Everything is deterministic: events execute in `(time, sequence)` order
 //! and the only randomness is whatever the embedded protocols draw from
@@ -57,11 +51,8 @@
 //! ```
 
 pub mod metrics;
-mod pool;
 pub mod queue;
 mod route;
-mod shard;
-mod single;
 pub mod targets;
 
 pub use metrics::Metrics;
@@ -69,16 +60,16 @@ pub use queue::QueueKind;
 pub use targets::TargetSet;
 
 use mm_topo::{AnyRouter, Graph, NodeId};
-use shard::ShardedCore;
-use single::SingleCore;
+use queue::EventQueue;
+use route::{NetEnv, RouteCounters};
 
 /// Which routing backend a hop-cost simulation uses.
 ///
 /// Output-invariant by construction: the analytic routers are
 /// byte-conformant to the [`mm_topo::RoutingTable`] oracle,
 /// so every variant produces identical simulations — they differ only in
-/// memory (O(1) vs O(n²)) and next-hop cost. Like [`QueueKind`] and
-/// [`ShardMode`], the non-default variants exist for conformance checks.
+/// memory (O(1) vs O(n²)) and next-hop cost. Like [`QueueKind`], the
+/// non-default variants exist for conformance checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouterKind {
     /// Closed-form router when the graph is a recognized structured
@@ -226,54 +217,47 @@ pub(crate) enum Event<M> {
     Timer { at: NodeId, tag: u64 },
 }
 
-impl<M> Event<M> {
-    /// The node this event executes on (delivery destination / timer
-    /// owner) — the sharded core's partition key.
-    pub(crate) fn target(&self) -> NodeId {
-        match self {
-            Event::Deliver(env) => env.to,
-            Event::Timer { at, .. } => *at,
-        }
-    }
-}
-
 /// Number of log₂ queue-depth buckets tracked by [`Sim`].
 pub const QUEUE_DEPTH_BUCKETS: usize = 65;
 
-/// Which execution core drives the event loop.
-///
-/// Output (metrics, depth histogram, handler-observable delivery order) is
-/// byte-identical across every mode — `Sharded` reconstructs the single
-/// core's global `(time, sequence)` execution order at each tick boundary.
-/// `Single` remains the oracle for conformance checks.
+/// The execution core. The simulator has exactly one, the
+/// single-threaded event loop; this enum survives only because the repo
+/// benchmark (`perfbench/`) passes it to `ShotgunEngine::with_router`
+/// and `ScenarioRunner::with_router`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
-    /// One queue, one thread: the original exact event loop.
+    /// One queue, one thread: the exact event loop.
     Single,
-    /// Nodes partitioned over `shards` calendar queues (keyed by the `√n`
-    /// decomposition), ticks executed by `threads` pooled workers.
-    /// `shards` is clamped to `[1, n]`; `threads` is clamped to the
-    /// effective shard count, and `threads <= 1` runs the shard rounds
-    /// inline on the calling thread (still sharded, still identical).
-    Sharded { shards: usize, threads: usize },
-}
-
-#[derive(Debug)]
-enum Core<M, N> {
-    Single(SingleCore<M, N>),
-    Sharded(ShardedCore<M, N>),
 }
 
 /// The simulator: a graph, one [`Node`] state machine per graph node, an
-/// event queue (or several, sharded), and exact message-pass metrics.
+/// event queue, and exact message-pass metrics. Events execute one at a
+/// time in strict global `(time, sequence)` order.
 #[derive(Debug)]
 pub struct Sim<M, N> {
-    core: Core<M, N>,
+    graph: Graph,
+    /// Built only under [`CostModel::Hops`]; `Uniform` never routes.
+    routing: Option<AnyRouter>,
+    nodes: Vec<N>,
+    crashed: Vec<bool>,
+    /// Number of currently crashed nodes (lets routing skip hop walks
+    /// entirely while everyone is alive).
+    crashed_count: usize,
+    queue: EventQueue<Event<M>>,
+    now: SimTime,
+    cost_model: CostModel,
+    metrics: Metrics,
+    /// Handler-op buffer reused across `step` calls (no per-event `Vec`).
+    scratch: Vec<Op<M>>,
+    /// Log₂ histogram of queue depth, sampled at every push: bucket 0
+    /// holds depth 0, bucket `k > 0` holds depths in `[2^(k-1), 2^k)`.
+    /// Identical across queue implementations (same pending-event set).
+    depth_buckets: [u64; QUEUE_DEPTH_BUCKETS],
 }
 
 impl<M: Clone, N: Node<M>> Sim<M, N> {
     /// Creates a simulator over `graph` with one handler per node, using
-    /// the production calendar event queue on the single-threaded core.
+    /// the production calendar event queue.
     ///
     /// # Panics
     ///
@@ -290,232 +274,13 @@ impl<M: Clone, N: Node<M>> Sim<M, N> {
     ///
     /// Panics if `nodes.len() != graph.node_count()`.
     pub fn with_queue(graph: Graph, nodes: Vec<N>, cost_model: CostModel, kind: QueueKind) -> Self {
-        Sim {
-            core: Core::Single(SingleCore::with_queue(
-                graph,
-                nodes,
-                cost_model,
-                kind,
-                RouterKind::Auto,
-            )),
-        }
-    }
-
-    /// The simulated network graph.
-    pub fn graph(&self) -> &Graph {
-        match &self.core {
-            Core::Single(c) => c.graph(),
-            Core::Sharded(c) => c.graph(),
-        }
-    }
-
-    /// The routing backend in use (`None` under [`CostModel::Uniform`],
-    /// which never routes).
-    pub fn routing(&self) -> Option<&AnyRouter> {
-        match &self.core {
-            Core::Single(c) => c.routing(),
-            Core::Sharded(c) => c.routing(),
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        match &self.core {
-            Core::Single(c) => c.now(),
-            Core::Sharded(c) => c.now(),
-        }
-    }
-
-    /// Accumulated metrics.
-    pub fn metrics(&self) -> &Metrics {
-        match &self.core {
-            Core::Single(c) => c.metrics(),
-            Core::Sharded(c) => c.metrics(),
-        }
-    }
-
-    /// Per-shard metrics under [`ShardMode::Sharded`] (`None` on the
-    /// single core). Every global sample is attributed to exactly one
-    /// shard, so [`Sim::merged_shard_metrics`] equals [`Sim::metrics`].
-    pub fn shard_metrics(&self) -> Option<&[Metrics]> {
-        match &self.core {
-            Core::Single(_) => None,
-            Core::Sharded(c) => Some(c.shard_metrics()),
-        }
-    }
-
-    /// Folds the per-shard metrics back into one global `Metrics`
-    /// (`None` on the single core). Equals [`Sim::metrics`] exactly.
-    pub fn merged_shard_metrics(&self) -> Option<Metrics> {
-        match &self.core {
-            Core::Single(_) => None,
-            Core::Sharded(c) => Some(c.merged_shard_metrics()),
-        }
-    }
-
-    /// Effective shard count (1 on the single core).
-    pub fn shard_count(&self) -> usize {
-        match &self.core {
-            Core::Single(_) => 1,
-            Core::Sharded(c) => c.shard_count(),
-        }
-    }
-
-    /// Worker threads executing shard rounds (1 on the single core and
-    /// for inline sharded execution).
-    pub fn shard_threads(&self) -> usize {
-        match &self.core {
-            Core::Single(_) => 1,
-            Core::Sharded(c) => c.threads(),
-        }
-    }
-
-    /// Immutable access to a node's state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn node(&self, v: NodeId) -> &N {
-        match &self.core {
-            Core::Single(c) => c.node(v),
-            Core::Sharded(c) => c.node(v),
-        }
-    }
-
-    /// Mutable access to a node's state (for test setup and inspection —
-    /// protocol logic should live in handlers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn node_mut(&mut self, v: NodeId) -> &mut N {
-        match &mut self.core {
-            Core::Single(c) => c.node_mut(v),
-            Core::Sharded(c) => c.node_mut(v),
-        }
-    }
-
-    /// Marks `v` crashed: it stops receiving, forwarding and firing timers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn crash(&mut self, v: NodeId) {
-        match &mut self.core {
-            Core::Single(c) => c.crash(v),
-            Core::Sharded(c) => c.crash(v),
-        }
-    }
-
-    /// Restores a crashed node (its state is as it was; protocols decide
-    /// what re-joining means).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn restore(&mut self, v: NodeId) {
-        match &mut self.core {
-            Core::Single(c) => c.restore(v),
-            Core::Sharded(c) => c.restore(v),
-        }
-    }
-
-    /// Is `v` currently crashed?
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn is_crashed(&self, v: NodeId) -> bool {
-        match &self.core {
-            Core::Single(c) => c.is_crashed(v),
-            Core::Sharded(c) => c.is_crashed(v),
-        }
-    }
-
-    /// Injects an external message to `at` (delivered at the current time,
-    /// no message passes charged — models a local request arriving at a
-    /// process, e.g. "locate port X").
-    pub fn inject(&mut self, from: NodeId, at: NodeId, msg: M) {
-        match &mut self.core {
-            Core::Single(c) => c.inject(from, at, msg),
-            Core::Sharded(c) => c.inject(from, at, msg),
-        }
-    }
-
-    /// Schedules a timer externally (e.g. protocol drivers).
-    pub fn inject_timer(&mut self, at: NodeId, delay: SimTime, tag: u64) {
-        match &mut self.core {
-            Core::Single(c) => c.inject_timer(at, delay, tag),
-            Core::Sharded(c) => c.inject_timer(at, delay, tag),
-        }
-    }
-
-    /// Cumulative queue-depth histogram (one observation per event
-    /// push). Snapshot and subtract to attribute pressure to a phase.
-    /// The sharded core samples the *conceptual global* depth at the
-    /// canonical merge, so the histogram is identical across modes.
-    pub fn queue_depth_buckets(&self) -> &[u64; QUEUE_DEPTH_BUCKETS] {
-        match &self.core {
-            Core::Single(c) => c.queue_depth_buckets(),
-            Core::Sharded(c) => c.queue_depth_buckets(),
-        }
-    }
-
-    /// Runs until the event queue drains; returns the final time.
-    pub fn run(&mut self) -> SimTime {
-        match &mut self.core {
-            Core::Single(c) => c.run(),
-            Core::Sharded(c) => c.run(),
-        }
-    }
-
-    /// Runs every event scheduled at or before `deadline`, then advances
-    /// the clock to `deadline` (idle gaps between scheduled work — e.g.
-    /// quiet phases of a workload — pass in one jump). The clock never
-    /// moves backwards: a `deadline` already in the past only drains
-    /// events due now.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        match &mut self.core {
-            Core::Single(c) => c.run_until(deadline),
-            Core::Sharded(c) => c.run_until(deadline),
-        }
-    }
-
-    /// Executes the next unit of work; returns `false` when idle. On the
-    /// single core this is one event; on the sharded core it is one
-    /// *tick* (every event due at the next time, all shards). Callers
-    /// needing event-granular stepping use [`ShardMode::Single`].
-    pub fn step(&mut self) -> bool {
-        match &mut self.core {
-            Core::Single(c) => c.step(),
-            Core::Sharded(c) => c.step(),
-        }
-    }
-}
-
-impl<M: Clone + Send, N: Node<M> + Send> Sim<M, N> {
-    /// Creates a simulator on an explicit execution core. `Send` bounds
-    /// on the message and handler types are required here — the only
-    /// construction path for a core that may own a worker pool — which is
-    /// what makes the pool's type-erased job dispatch sound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len() != graph.node_count()`.
-    pub fn with_shards(
-        graph: Graph,
-        nodes: Vec<N>,
-        cost_model: CostModel,
-        kind: QueueKind,
-        mode: ShardMode,
-    ) -> Self {
-        Self::with_router(graph, nodes, cost_model, kind, mode, RouterKind::Auto)
+        Self::with_router(graph, nodes, cost_model, kind, RouterKind::Auto)
     }
 
     /// Creates a simulator with every backend choice explicit: event
-    /// queue, execution core, and routing backend. All three axes are
-    /// output-invariant; this is the constructor conformance suites use
-    /// to pit the analytic routers against the table oracle.
+    /// queue and routing backend. Both axes are output-invariant; this is
+    /// the constructor conformance suites use to pit the analytic routers
+    /// against the table oracle.
     ///
     /// # Panics
     ///
@@ -526,19 +291,240 @@ impl<M: Clone + Send, N: Node<M> + Send> Sim<M, N> {
         nodes: Vec<N>,
         cost_model: CostModel,
         kind: QueueKind,
-        mode: ShardMode,
         router: RouterKind,
     ) -> Self {
-        let core = match mode {
-            ShardMode::Single => Core::Single(SingleCore::with_queue(
-                graph, nodes, cost_model, kind, router,
-            )),
-            ShardMode::Sharded { shards, threads } => Core::Sharded(ShardedCore::new(
-                graph, nodes, cost_model, kind, shards, threads, router,
-            )),
+        assert_eq!(
+            nodes.len(),
+            graph.node_count(),
+            "one handler per graph node required"
+        );
+        let routing = match cost_model {
+            CostModel::Hops => Some(router.build(&graph)),
+            CostModel::Uniform => None,
         };
-        Sim { core }
+        let n = graph.node_count();
+        Sim {
+            graph,
+            routing,
+            nodes,
+            crashed: vec![false; n],
+            crashed_count: 0,
+            queue: EventQueue::new(kind),
+            now: 0,
+            cost_model,
+            metrics: Metrics::new(n),
+            scratch: Vec::new(),
+            depth_buckets: [0; QUEUE_DEPTH_BUCKETS],
+        }
     }
+
+    /// The simulated network graph.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// The routing backend in use (`None` under [`CostModel::Uniform`],
+    /// which never routes).
+    pub fn routing(&self) -> Option<&AnyRouter> {
+        self.routing.as_ref()
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Accumulated metrics.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// Immutable access to a node's state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn node(&self, v: NodeId) -> &N {
+        &self.nodes[v.index()]
+    }
+
+    /// Mutable access to a node's state (for test setup and inspection —
+    /// protocol logic should live in handlers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn node_mut(&mut self, v: NodeId) -> &mut N {
+        &mut self.nodes[v.index()]
+    }
+
+    /// Marks `v` crashed: it stops receiving, forwarding and firing timers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn crash(&mut self, v: NodeId) {
+        if !self.crashed[v.index()] {
+            self.crashed[v.index()] = true;
+            self.crashed_count += 1;
+        }
+        self.metrics.crashes += 1;
+    }
+
+    /// Restores a crashed node (its state is as it was; protocols decide
+    /// what re-joining means).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn restore(&mut self, v: NodeId) {
+        if self.crashed[v.index()] {
+            self.crashed[v.index()] = false;
+            self.crashed_count -= 1;
+        }
+    }
+
+    /// Is `v` currently crashed?
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn is_crashed(&self, v: NodeId) -> bool {
+        self.crashed[v.index()]
+    }
+
+    /// Injects an external message to `at` (delivered at the current time,
+    /// no message passes charged — models a local request arriving at a
+    /// process, e.g. "locate port X").
+    pub fn inject(&mut self, from: NodeId, at: NodeId, msg: M) {
+        let env = Envelope {
+            from,
+            to: at,
+            sent_at: self.now,
+            msg,
+        };
+        push(
+            &mut self.queue,
+            &mut self.metrics,
+            &mut self.depth_buckets,
+            self.now,
+            Event::Deliver(env),
+        );
+    }
+
+    /// Schedules a timer externally (e.g. protocol drivers).
+    pub fn inject_timer(&mut self, at: NodeId, delay: SimTime, tag: u64) {
+        push(
+            &mut self.queue,
+            &mut self.metrics,
+            &mut self.depth_buckets,
+            self.now + delay,
+            Event::Timer { at, tag },
+        );
+    }
+
+    /// Cumulative queue-depth histogram (one observation per event
+    /// push). Snapshot and subtract to attribute pressure to a phase.
+    pub fn queue_depth_buckets(&self) -> &[u64; QUEUE_DEPTH_BUCKETS] {
+        &self.depth_buckets
+    }
+
+    /// Runs until the event queue drains; returns the final time.
+    pub fn run(&mut self) -> SimTime {
+        while self.step() {}
+        self.now
+    }
+
+    /// Runs every event scheduled at or before `deadline`, then advances
+    /// the clock to `deadline` (idle gaps between scheduled work — e.g.
+    /// quiet phases of a workload — pass in one jump). The clock never
+    /// moves backwards: a `deadline` already in the past only drains
+    /// events due now.
+    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
+        while self.step_until(deadline) {}
+        self.now = self.now.max(deadline);
+        self.now
+    }
+
+    /// Executes the next event; returns `false` when idle.
+    pub fn step(&mut self) -> bool {
+        self.step_until(SimTime::MAX)
+    }
+
+    /// Executes the next event if it is due at or before `deadline`.
+    fn step_until(&mut self, deadline: SimTime) -> bool {
+        let Some((t, ev)) = self.queue.pop_next_until(deadline) else {
+            return false;
+        };
+        self.now = t;
+        self.metrics.events_executed += 1;
+        let at = match &ev {
+            Event::Deliver(env) => env.to,
+            Event::Timer { at, .. } => *at,
+        };
+        if self.crashed[at.index()] {
+            if matches!(ev, Event::Deliver(_)) {
+                self.metrics.dropped += 1;
+            }
+            return true;
+        }
+        // reuse one ops buffer across events instead of allocating per
+        // handler invocation; apply_ops drains it back to empty
+        let mut ops = std::mem::take(&mut self.scratch);
+        debug_assert!(ops.is_empty());
+        let mut api = NodeApi {
+            ops: &mut ops,
+            now: self.now,
+            me: at,
+        };
+        match ev {
+            Event::Deliver(env) => {
+                self.metrics.delivered += 1;
+                self.metrics.node_load[at.index()] += 1;
+                self.nodes[at.index()].on_message(env, &mut api);
+            }
+            Event::Timer { tag, .. } => self.nodes[at.index()].on_timer(tag, &mut api),
+        }
+        self.apply_ops(at, &mut ops);
+        self.scratch = ops;
+        true
+    }
+
+    fn apply_ops(&mut self, from: NodeId, ops: &mut Vec<Op<M>>) {
+        let env = NetEnv {
+            routing: self.routing.as_ref(),
+            crashed: &self.crashed,
+            crashed_count: self.crashed_count,
+            cost_model: self.cost_model,
+        };
+        let mut c = RouteCounters::default();
+        let queue = &mut self.queue;
+        let metrics = &mut self.metrics;
+        let depth_buckets = &mut self.depth_buckets;
+        route::apply_ops(&env, self.now, from, ops, &mut c, &mut |at, ev| {
+            push(queue, metrics, depth_buckets, at, ev);
+        });
+        metrics.sends += c.sends;
+        metrics.message_passes += c.passes;
+        metrics.dropped += c.dropped;
+    }
+}
+
+/// Schedules `ev` at `at` and samples the queue depth (peak and log₂
+/// histogram) — the one push path for injections and handler ops alike.
+fn push<M>(
+    queue: &mut EventQueue<Event<M>>,
+    metrics: &mut Metrics,
+    depth_buckets: &mut [u64; QUEUE_DEPTH_BUCKETS],
+    at: SimTime,
+    ev: Event<M>,
+) {
+    queue.push(at, ev);
+    let depth = queue.len() as u64;
+    if depth > metrics.peak_queue_depth {
+        metrics.peak_queue_depth = depth;
+    }
+    depth_buckets[(64 - depth.leading_zeros()) as usize] += 1;
 }
 
 #[cfg(test)]
@@ -794,20 +780,35 @@ mod tests {
         assert_eq!(buckets[1], 2, "both pushes saw depth 1");
     }
 
-    // ---- sharded core equivalence against the single-threaded oracle ----
+    // ---- calendar queue against the BTreeMap oracle, whole simulator ----
+
+    /// Every observable output of one simulation.
+    #[derive(Debug, PartialEq)]
+    struct SimOutput {
+        metrics: Metrics,
+        buckets: [u64; QUEUE_DEPTH_BUCKETS],
+        now: SimTime,
+        logs: Vec<Vec<(NodeId, Msg, SimTime)>>,
+        timers: Vec<Vec<u64>>,
+    }
+
+    fn output(sim: &Sim<Msg, Recorder>) -> SimOutput {
+        let n = sim.graph().node_count() as u32;
+        SimOutput {
+            metrics: sim.metrics().clone(),
+            buckets: *sim.queue_depth_buckets(),
+            now: sim.now(),
+            logs: (0..n).map(|v| sim.node(nid(v)).got.clone()).collect(),
+            timers: (0..n).map(|v| sim.node(nid(v)).timers.clone()).collect(),
+        }
+    }
 
     /// Drives one busy scenario (pings, multicasts, timers, a crash +
-    /// restore, phased `run_until`) on the given core and returns every
+    /// restore, phased `run_until`) on the given queue and returns every
     /// observable output.
-    fn drive(mode: Option<ShardMode>) -> SimOutput {
-        let g = gen::grid(6, 6, false);
+    fn drive(kind: QueueKind) -> SimOutput {
         let n = 36;
-        let mut sim = match mode {
-            None => Sim::new(g, recorders(n), CostModel::Hops),
-            Some(mode) => {
-                Sim::with_shards(g, recorders(n), CostModel::Hops, QueueKind::Calendar, mode)
-            }
-        };
+        let mut sim = Sim::with_queue(gen::grid(6, 6, false), recorders(n), CostModel::Hops, kind);
         sim.inject(nid(0), nid(35), Msg::Ping);
         sim.inject(nid(3), nid(30), Msg::Ping);
         sim.inject(nid(5), nid(5), Msg::Spread(vec![nid(0), nid(17), nid(35)]));
@@ -820,76 +821,14 @@ mod tests {
         sim.restore(nid(14));
         sim.inject(nid(2), nid(14), Msg::Ping);
         sim.run();
-        let logs = (0..n)
-            .map(|v| sim.node(nid(v as u32)).got.clone())
-            .collect();
-        let timers = (0..n)
-            .map(|v| sim.node(nid(v as u32)).timers.clone())
-            .collect();
-        SimOutput {
-            metrics: sim.metrics().clone(),
-            merged: sim.merged_shard_metrics(),
-            buckets: *sim.queue_depth_buckets(),
-            now: sim.now(),
-            logs,
-            timers,
-        }
-    }
-
-    struct SimOutput {
-        metrics: Metrics,
-        merged: Option<Metrics>,
-        buckets: [u64; QUEUE_DEPTH_BUCKETS],
-        now: SimTime,
-        logs: Vec<Vec<(NodeId, Msg, SimTime)>>,
-        timers: Vec<Vec<u64>>,
+        output(&sim)
     }
 
     #[test]
-    fn sharded_core_matches_single_oracle() {
-        let oracle = drive(None);
-        for (shards, threads) in [(1, 1), (4, 1), (4, 2), (16, 4), (36, 3)] {
-            let got = drive(Some(ShardMode::Sharded { shards, threads }));
-            assert_eq!(got.metrics, oracle.metrics, "s={shards} t={threads}");
-            assert_eq!(got.buckets, oracle.buckets, "s={shards} t={threads}");
-            assert_eq!(got.now, oracle.now, "s={shards} t={threads}");
-            assert_eq!(got.logs, oracle.logs, "s={shards} t={threads}");
-            assert_eq!(got.timers, oracle.timers, "s={shards} t={threads}");
-            assert_eq!(
-                got.merged.as_ref(),
-                Some(&oracle.metrics),
-                "per-shard metrics must merge to the global view (s={shards} t={threads})"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_mode_single_is_the_plain_core() {
-        let oracle = drive(None);
-        let got = drive(Some(ShardMode::Single));
-        assert_eq!(got.metrics, oracle.metrics);
-        assert_eq!(got.buckets, oracle.buckets);
-        assert!(got.merged.is_none());
-    }
-
-    #[test]
-    fn shard_counts_report_clamping() {
-        let g = gen::ring(8);
-        let sim: Sim<Msg, Recorder> = Sim::with_shards(
-            g,
-            recorders(8),
-            CostModel::Uniform,
-            QueueKind::Calendar,
-            ShardMode::Sharded {
-                shards: 64,
-                threads: 64,
-            },
-        );
-        assert!(sim.shard_count() <= 8);
-        assert!(sim.shard_threads() <= sim.shard_count());
-        let single: Sim<Msg, Recorder> = Sim::new(gen::ring(3), recorders(3), CostModel::Uniform);
-        assert_eq!(single.shard_count(), 1);
-        assert_eq!(single.shard_threads(), 1);
+    fn calendar_core_matches_btree_oracle() {
+        let oracle = drive(QueueKind::BTree);
+        assert!(oracle.metrics.dropped > 0, "the crash window must bite");
+        assert_eq!(drive(QueueKind::Calendar), oracle);
     }
 
     /// splitmix64 — deterministic traffic generator for the property
@@ -946,63 +885,24 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Random traffic, random shard/thread counts: the sharded core
-        /// reproduces the single-core metrics and depth histogram, and
-        /// the per-shard metrics merge to exactly the global `Metrics`.
+        /// Random traffic under either cost model: the calendar queue
+        /// reproduces the BTreeMap oracle's metrics, depth histogram,
+        /// clock, per-node delivery logs and fired timers exactly.
         #[test]
-        fn random_traffic_is_core_invariant_and_shard_metrics_merge(
+        fn random_traffic_is_queue_invariant(
             seed in any::<u64>(),
-            shards in 1usize..24,
-            threads in 1usize..5,
             w in 3usize..7,
             h in 3usize..7,
+            uniform in any::<bool>(),
         ) {
             let n = w * h;
-            let mut single = Sim::new(gen::grid(w, h, false), recorders(n), CostModel::Hops);
-            random_traffic(&mut single, n, seed);
-            let mut sharded = Sim::with_shards(
-                gen::grid(w, h, false),
-                recorders(n),
-                CostModel::Hops,
-                QueueKind::Calendar,
-                ShardMode::Sharded { shards, threads },
-            );
-            random_traffic(&mut sharded, n, seed);
-            prop_assert_eq!(sharded.metrics(), single.metrics());
-            prop_assert_eq!(sharded.queue_depth_buckets(), single.queue_depth_buckets());
-            prop_assert_eq!(sharded.now(), single.now());
-            prop_assert_eq!(
-                sharded.merged_shard_metrics().as_ref(),
-                Some(sharded.metrics()),
-                "per-shard metrics must merge to exactly the global view"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_uniform_model_matches_oracle() {
-        let run = |mode: Option<ShardMode>| {
-            let g = gen::complete(12);
-            let mut sim = match mode {
-                None => Sim::new(g, recorders(12), CostModel::Uniform),
-                Some(m) => {
-                    Sim::with_shards(g, recorders(12), CostModel::Uniform, QueueKind::Calendar, m)
-                }
+            let cost = if uniform { CostModel::Uniform } else { CostModel::Hops };
+            let run = |kind| {
+                let mut sim = Sim::with_queue(gen::grid(w, h, false), recorders(n), cost, kind);
+                random_traffic(&mut sim, n, seed);
+                output(&sim)
             };
-            for v in 0..12u32 {
-                sim.inject(nid(v), nid((v + 5) % 12), Msg::Ping);
-            }
-            sim.inject(nid(0), nid(0), Msg::Spread((0..12).map(nid).collect()));
-            sim.run();
-            (sim.metrics().clone(), *sim.queue_depth_buckets())
-        };
-        let oracle = run(None);
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                run(Some(ShardMode::Sharded { shards: 4, threads })),
-                oracle,
-                "t={threads}"
-            );
+            prop_assert_eq!(run(QueueKind::Calendar), run(QueueKind::BTree));
         }
     }
 }

@@ -145,11 +145,9 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Schedules `ev` at `at` under an externally assigned sequence
-    /// number. The sharded executor owns one global sequence space at the
-    /// coordinator and feeds each shard queue slices of it; within any
-    /// timestamp, successive pushes must carry strictly increasing `seq`
-    /// (the coordinator's merge emits them in ascending order, so the
-    /// per-bucket FIFO invariant is preserved by construction).
+    /// number. Within any timestamp, successive pushes must carry
+    /// strictly increasing `seq`, which preserves the per-bucket FIFO
+    /// invariant.
     pub fn push_seq(&mut self, at: SimTime, seq: u64, ev: T) {
         debug_assert!(
             at >= self.cursor,
@@ -241,8 +239,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// [`pop_next_until`](Self::pop_next_until), additionally exposing the
-    /// event's sequence number — the sharded executor's merge needs it to
-    /// reconstruct the global execution order.
+    /// event's sequence number.
     pub fn pop_seq_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
         if self.is_empty() {
             return None;
@@ -411,31 +408,10 @@ impl<T> EventQueue<T> {
         }
     }
 
-    pub(crate) fn push_seq(&mut self, at: SimTime, seq: u64, ev: T) {
-        match self {
-            EventQueue::Calendar(q) => q.push_seq(at, seq, ev),
-            EventQueue::BTree(q) => q.push_seq(at, seq, ev),
-        }
-    }
-
     pub(crate) fn pop_next_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
         match self {
             EventQueue::Calendar(q) => q.pop_next_until(deadline),
             EventQueue::BTree(q) => q.pop_next_until(deadline),
-        }
-    }
-
-    pub(crate) fn pop_seq_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
-        match self {
-            EventQueue::Calendar(q) => q.pop_seq_until(deadline),
-            EventQueue::BTree(q) => q.pop_seq_until(deadline),
-        }
-    }
-
-    pub(crate) fn peek_next_time(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Calendar(q) => q.peek_next_time(),
-            EventQueue::BTree(q) => q.peek_next_time(),
         }
     }
 }
@@ -563,7 +539,7 @@ mod tests {
         }
     }
 
-    /// Explicit-sequence pushes (the sharded executor's path) must honor
+    /// Explicit-sequence pushes must honor
     /// the externally assigned order, and `peek_next_time` must report the
     /// earliest event without disturbing pop order or legal push times.
     #[test]

@@ -1,11 +1,9 @@
-//! Routing shared by the single-threaded and sharded executor cores.
+//! Message routing and pass accounting for [`Sim`](crate::Sim).
 //!
-//! This is the old `Sim::route`/`Sim::route_multicast` logic, extracted
-//! so both cores charge message passes identically by construction: the
-//! single core feeds `emit` straight into its event queue, while a shard
-//! records the emissions for the coordinator's canonical merge. Counter
-//! deltas accumulate in [`RouteCounters`] (additive, so the caller may
-//! fold them into its `Metrics` in any order without affecting output).
+//! Every scheduled event is handed to an `emit` callback, which the
+//! simulator feeds straight into its event queue. Counter deltas
+//! accumulate in [`RouteCounters`] and are folded into `Metrics` once per
+//! handler invocation.
 //!
 //! Routing goes through [`AnyRouter`], never through graph adjacency:
 //! under an analytic backend a structured topology needs no edges at all,
@@ -22,7 +20,7 @@ pub(crate) struct NetEnv<'a> {
     /// Built only under [`CostModel::Hops`]; `Uniform` never routes.
     pub routing: Option<&'a AnyRouter>,
     pub crashed: &'a [bool],
-    /// Number of `true` entries in `crashed`; maintained by the cores so
+    /// Number of `true` entries in `crashed`; maintained by `Sim` so
     /// the common all-alive case can skip hop walks entirely.
     pub crashed_count: usize,
     pub cost_model: CostModel,

@@ -30,12 +30,12 @@ pub struct TargetSet {
     ids: Arc<[NodeId]>,
 }
 
-// Concurrency audit (sharded executor): `TargetSet` rides inside messages
-// that cross shard — and therefore worker-thread — boundaries. The share
-// is an `Arc` (atomic refcount, not `Rc`) over an immutable slice, so
-// clones/drops from concurrent shard rounds are sound and the contents
-// can never be observed mid-mutation. Pinned here so a future swap to a
-// non-atomic smart pointer fails to compile instead of racing.
+// `TargetSet` rides inside messages that cross `LiveNet` worker threads
+// (mm-proto's threaded runtime). The share is an `Arc` (atomic refcount,
+// not `Rc`) over an immutable slice, so clones/drops on concurrent
+// workers are sound and the contents can never be observed
+// mid-mutation. Pinned here so a future swap to a non-atomic smart
+// pointer fails to compile instead of racing.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TargetSet>();

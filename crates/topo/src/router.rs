@@ -2,8 +2,8 @@
 //!
 //! The paper's §3 cost model gives every node a full Dalal–Metcalfe
 //! routing table — O(n²) space once materialized in [`RoutingTable`].
-//! That is faithful, but it is also the one hard wall between the sharded
-//! core and million-node structured fabrics: a 65,536-node table is
+//! That is faithful, but it is also the one hard wall between the
+//! simulator and million-node structured fabrics: a 65,536-node table is
 //! already ~34 GB. For the structured generators (ring, grid, torus,
 //! hypercube, complete) the table content is pure arithmetic, so this
 //! module factors routing behind the [`Router`] trait and provides
@@ -15,8 +15,7 @@
 //! consequence is strong: any simulation driven through a [`Router`] is
 //! byte-identical whether the backend is a materialized table or closed
 //! forms — the table stays available as the conformance oracle for
-//! arbitrary graphs (the same oracle pattern as `QueueKind::BTree` and
-//! `ShardMode::Single`).
+//! arbitrary graphs (the same oracle pattern as `QueueKind::BTree`).
 //!
 //! [`AnyRouter::for_graph`] picks the backend by the graph's generator
 //! name (`"ring(8)"`, `"grid(4x5)"`, `"torus(3x3)"`, `"hypercube(5)"`,
@@ -425,8 +424,7 @@ impl Router for HypercubeRouter {
 
 /// A routing backend: one of the closed-form families, or the BFS table
 /// oracle for arbitrary graphs. Enum (not `dyn`) so the sim hot path
-/// dispatches with a branch instead of a vtable and the whole thing stays
-/// trivially `Send + Sync` for the sharded core.
+/// dispatches with a branch instead of a vtable.
 #[derive(Debug, Clone)]
 pub enum AnyRouter {
     /// `complete(n)` — everything one hop away.

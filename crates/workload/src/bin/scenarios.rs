@@ -83,10 +83,6 @@ struct Args {
     window: u64,
     /// `--replication F`: tolerated rendezvous faults; 0 = base strategy.
     replication: u64,
-    /// `--shards S`: simulator shard count (0 = single-threaded core).
-    shards: usize,
-    /// `--shard-threads T`: worker threads driving shard rounds.
-    shard_threads: usize,
     /// `--router auto|analytic|table`: routing backend under hop cost.
     router: RouterKind,
     pretty: bool,
@@ -112,7 +108,7 @@ fn usage() -> ! {
          [--runtime sim|live] \
          [--clients N] [--think zero|fixed:T|exp:M] [--retries R] \
          [--backoff B] [--window W] [--replication F] \
-         [--shards S] [--shard-threads T] [--pretty] [--records] \
+         [--pretty] [--records] \
          [--trace FILE] [--trace-rate R] [--obs] [--throughput] [--verbose]\n\
          \nusage: scenarios trace FILE    (analyze a recorded trace: \
          measured m(P,Q),\nlatency attribution, conservation check — \
@@ -126,9 +122,6 @@ fn usage() -> ! {
          --replication F superimposes F+1 strategy copies (paper 2.4: \
          tolerate F rendezvous\ncrashes per pair) and reports the \
          robustness block with the measured overhead.\n\
-         --shards S --shard-threads T executes the simulator on the \
-         sharded parallel core\n(JSON stays byte-identical to the \
-         single-threaded default at any S and T).\n\
          --router picks the hop-cost routing backend: auto (default) \
          routes structured\ntopologies in O(1) memory, table forces the \
          O(n^2) oracle (byte-identical output).\n\nopen-loop \
@@ -174,8 +167,6 @@ fn parse_args() -> Args {
         backoff: 8,
         window: 250,
         replication: 0,
-        shards: 0,
-        shard_threads: 1,
         router: RouterKind::Auto,
         pretty: false,
         records: false,
@@ -230,10 +221,6 @@ fn parse_args() -> Args {
             "--window" => args.window = value(&argv, &mut i).parse().unwrap_or_else(|_| usage()),
             "--replication" => {
                 args.replication = value(&argv, &mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--shards" => args.shards = value(&argv, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--shard-threads" => {
-                args.shard_threads = value(&argv, &mut i).parse().unwrap_or_else(|_| usage())
             }
             "--router" => {
                 args.router = drive::parse_router(&value(&argv, &mut i)).unwrap_or_else(|| usage())
@@ -323,8 +310,6 @@ fn to_config(args: &Args, name: &str, n: usize) -> RunConfig {
             window: args.window,
         }),
         replication: args.replication,
-        shards: args.shards,
-        shard_threads: args.shard_threads,
         router: args.router,
     }
 }

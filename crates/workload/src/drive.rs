@@ -138,17 +138,9 @@ pub struct RunConfig {
     /// superimposes `F + 1` strategy copies (§2.4) and reports the
     /// robustness block.
     pub replication: u64,
-    /// Simulator shard count; 0 selects the single-threaded core. Any
-    /// value produces byte-identical reports (the sharded executor
-    /// replays the single core's event order exactly), so this axis —
-    /// like `queue` — only affects wall clock, never output.
-    pub shards: usize,
-    /// Worker threads driving shard rounds (relevant when `shards > 0`;
-    /// clamped to the effective shard count).
-    pub shard_threads: usize,
-    /// Routing backend under hop cost. Output-invariant like `queue` and
-    /// `shards` (the analytic routers are byte-conformant to the table
-    /// oracle), so it never appears in [`RunConfig::label`]; it decides
+    /// Routing backend under hop cost. Output-invariant like `queue` (the
+    /// analytic routers are byte-conformant to the table oracle), so it
+    /// never appears in [`RunConfig::label`]; it decides
     /// only memory — `Table` materializes the O(n²) §3 tables, the
     /// default `Auto` routes structured topologies in O(1) space.
     pub router: RouterKind,
@@ -170,22 +162,15 @@ impl RunConfig {
             runtime: RuntimeKind::Sim,
             clients: None,
             replication: 0,
-            shards: 0,
-            shard_threads: 1,
             router: RouterKind::Auto,
         }
     }
 
-    /// The execution core this config selects (see [`ShardMode`]).
+    /// The execution core: always [`ShardMode::Single`], the only core
+    /// there is. Kept for callers that pass it to
+    /// [`ScenarioRunner::with_router`].
     pub fn shard_mode(&self) -> ShardMode {
-        if self.shards == 0 {
-            ShardMode::Single
-        } else {
-            ShardMode::Sharded {
-                shards: self.shards,
-                threads: self.shard_threads.max(1),
-            }
-        }
+        ShardMode::Single
     }
 
     /// Canonical run label, used as the campaign per-run file stem:
@@ -195,9 +180,8 @@ impl RunConfig {
     /// directory of campaign runs is self-describing. The topology and
     /// cost segments appear only off their historical defaults
     /// (`complete`, `uniform`), keeping every pre-existing label — and
-    /// thus every pinned campaign file name — byte-identical. Shards and
-    /// the router backend are deliberately absent: both are
-    /// output-invariant.
+    /// thus every pinned campaign file name — byte-identical. The router
+    /// backend is deliberately absent: it is output-invariant.
     pub fn label(&self) -> String {
         let mut label = format!(
             "{}-n{}-{}-{}-{}",
@@ -236,10 +220,11 @@ pub struct ObsOptions {
 /// and torus rounding to the closest `p × q ≥ n` rectangle, hypercube
 /// power-of-two requirement).
 ///
-/// Adjacency is materialized only when something will actually read it:
-/// under uniform cost only non-complete topologies build edges (they feed
-/// the sharded core's locality-aware `shard_map`), and under hop cost
-/// only the `--router table` oracle does. The analytic routers answer
+/// Under hop cost adjacency is materialized only for the `--router
+/// table` oracle, the one consumer that reads it. Under uniform cost the
+/// complete topology is an edgeless shell, while the sparse families
+/// still build their O(n) edges although the simulator never routes
+/// through them. The analytic routers answer
 /// next hops from closed forms, so a hop-cost ring at n = 1,048,576 is an
 /// O(n)-memory run — no adjacency, no table.
 pub fn build_graph(

@@ -285,36 +285,6 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         strategy: &str,
         queue: QueueKind,
     ) -> Self {
-        Self::with_shards(
-            spec,
-            graph,
-            resolver,
-            cost_model,
-            strategy,
-            queue,
-            ShardMode::Single,
-        )
-    }
-
-    /// Like [`ScenarioRunner::with_queue`] on an explicit execution core
-    /// (see [`ShardMode`]): the sharded core partitions nodes across
-    /// per-shard calendar queues and executes ticks on worker threads,
-    /// with reports byte-identical to [`ShardMode::Single`] at every
-    /// shard/thread count — the cross-core determinism suite enforces it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`Workload::validate`] or the resolver
-    /// universe differs from the graph size.
-    pub fn with_shards(
-        spec: Workload,
-        graph: Graph,
-        resolver: PM,
-        cost_model: CostModel,
-        strategy: &str,
-        queue: QueueKind,
-        mode: ShardMode,
-    ) -> Self {
         Self::with_router(
             spec,
             graph,
@@ -322,15 +292,17 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
             cost_model,
             strategy,
             queue,
-            mode,
+            ShardMode::Single,
             RouterKind::Auto,
         )
     }
 
-    /// Like [`ScenarioRunner::with_shards`] with an explicit routing
+    /// Like [`ScenarioRunner::with_queue`] with an explicit routing
     /// backend (see [`RouterKind`]): analytic closed-form routers for the
     /// structured families versus the O(n²) table oracle, byte-identical
     /// reports either way — the router conformance suite enforces it.
+    /// `ShardMode` has the single variant [`ShardMode::Single`] and
+    /// changes nothing.
     ///
     /// # Panics
     ///
@@ -345,7 +317,7 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         cost_model: CostModel,
         strategy: &str,
         queue: QueueKind,
-        mode: ShardMode,
+        _mode: ShardMode,
         router: RouterKind,
     ) -> Self {
         if let Err(e) = spec.validate() {
@@ -365,7 +337,7 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
         }
         let topology = graph.name().to_string();
         let sampler = PopularitySampler::new(spec.ports, spec.popularity);
-        let net = ServiceNet::with_router(graph, resolver, cost_model, queue, mode, router);
+        let net = ServiceNet::with_router(graph, resolver, cost_model, queue, router);
         let op_timeout = match net.engine().sim().routing() {
             // double-sweep estimate of the diameter via the router:
             // eccentricity of node 0, then of the farthest node

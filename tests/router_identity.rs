@@ -2,8 +2,8 @@
 //! satellite 1): a workload driven through the O(1)-memory analytic
 //! routers must produce the *same JSON bytes* as the same workload
 //! driven through the O(n²) table oracle — crash phases, multicast
-//! accounting, timeouts and all. The router axis, like the event queue
-//! and the shard geometry, buys resources, never behavior.
+//! accounting, timeouts and all. The router axis, like the event queue,
+//! buys resources, never behavior.
 
 use mm_sim::RouterKind;
 use mm_workload::drive::{self, RunConfig};
