@@ -50,7 +50,7 @@ use crate::report::{
     LocateRecord, LocateVerdict, PhaseReport, RobustnessReport, ScenarioReport,
 };
 use crate::spec::{ChurnAction, Workload};
-use crate::timeline::{draw_arrival, resolve_churn, Event, ResolvedChurn, Timeline};
+use crate::timeline::{draw_arrival, rebuild_live, resolve_churn, Event, ResolvedChurn, Timeline};
 use crate::traffic::PopularitySampler;
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
@@ -187,7 +187,9 @@ pub struct LiveScenarioRunner<PM: PortMapped> {
     /// Lowest sampled alive-pair survival fraction seen after any crash.
     min_survival: f64,
     /// Currently-live nodes, ascending (same draw order as the simulator
-    /// runner's).
+    /// runner's), so a client draw is one O(1) indexed pick. Rebuilt from
+    /// `crashed` once per churn action that crashes or restores
+    /// ([`rebuild_live`]), not per node.
     live: Vec<NodeId>,
     acc: Acc,
     op_log: Vec<LocateRecord>,
@@ -833,18 +835,12 @@ impl<PM: PortMapped> LiveScenarioRunner<PM> {
     fn crash_node(&mut self, v: NodeId) {
         debug_assert!(!self.crashed[v.index()]);
         self.crashed[v.index()] = true;
-        if let Ok(pos) = self.live.binary_search(&v) {
-            self.live.remove(pos);
-        }
         self.net.crash(v);
     }
 
     fn restore_node(&mut self, v: NodeId, clear_cache: bool) {
         debug_assert!(self.crashed[v.index()]);
         self.crashed[v.index()] = false;
-        if let Err(pos) = self.live.binary_search(&v) {
-            self.live.insert(pos, v);
-        }
         self.net.restore(v);
         if clear_cache {
             self.net.clear_cache(v);
@@ -859,7 +855,7 @@ impl<PM: PortMapped> LiveScenarioRunner<PM> {
             &self.crashed,
             &self.homes,
         );
-        let mut any_crash = false;
+        let (mut any_crash, mut any_restore) = (false, false);
         for r in resolved {
             match r {
                 ResolvedChurn::Crash(v) => {
@@ -867,6 +863,7 @@ impl<PM: PortMapped> LiveScenarioRunner<PM> {
                     self.crash_node(v)
                 }
                 ResolvedChurn::Restore { node, clear_cache } => {
+                    any_restore = true;
                     self.restore_node(node, clear_cache)
                 }
                 ResolvedChurn::Migrate { port_idx, from, to } => {
@@ -882,6 +879,9 @@ impl<PM: PortMapped> LiveScenarioRunner<PM> {
                 }
                 ResolvedChurn::RefreshAll => self.refresh_all(t),
             }
+        }
+        if any_crash || any_restore {
+            rebuild_live(&mut self.live, &self.crashed);
         }
         if any_crash {
             self.observe_survival();

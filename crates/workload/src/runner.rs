@@ -25,7 +25,7 @@ use crate::report::{
     RobustnessReport,
 };
 use crate::spec::{ChurnAction, Workload};
-use crate::timeline::{draw_arrival, resolve_churn, Event, ResolvedChurn, Timeline};
+use crate::timeline::{draw_arrival, rebuild_live, resolve_churn, Event, ResolvedChurn, Timeline};
 use crate::traffic::PopularitySampler;
 use mm_core::strategies::PortMapped;
 use mm_core::Port;
@@ -211,8 +211,9 @@ pub struct ScenarioRunner<PM: PortMapped> {
     replication: u64,
     /// Lowest sampled alive-pair survival fraction seen after any crash.
     min_survival: f64,
-    /// Currently-live nodes, ascending — kept incrementally in sync with
-    /// `crashed` so the per-arrival client draw is O(log n), not O(n).
+    /// Currently-live nodes, ascending, so a client draw is one O(1)
+    /// indexed pick. Rebuilt from `crashed` once per churn action that
+    /// crashes or restores ([`rebuild_live`]), not per node.
     live: Vec<NodeId>,
     in_flight: Vec<Op>,
     acc: Acc,
@@ -469,18 +470,12 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
     fn crash_node(&mut self, v: NodeId) {
         debug_assert!(!self.crashed[v.index()]);
         self.crashed[v.index()] = true;
-        if let Ok(pos) = self.live.binary_search(&v) {
-            self.live.remove(pos);
-        }
         self.eng().crash(v);
     }
 
     fn restore_node(&mut self, v: NodeId, clear_cache: bool) {
         debug_assert!(self.crashed[v.index()]);
         self.crashed[v.index()] = false;
-        if let Err(pos) = self.live.binary_search(&v) {
-            self.live.insert(pos, v);
-        }
         self.eng().restore(v);
         if clear_cache {
             self.eng().clear_cache(v);
@@ -856,7 +851,7 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
             &self.crashed,
             &self.homes,
         );
-        let mut any_crash = false;
+        let (mut any_crash, mut any_restore) = (false, false);
         for r in resolved {
             match r {
                 ResolvedChurn::Crash(v) => {
@@ -864,6 +859,7 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
                     self.crash_node(v)
                 }
                 ResolvedChurn::Restore { node, clear_cache } => {
+                    any_restore = true;
                     self.restore_node(node, clear_cache)
                 }
                 ResolvedChurn::Migrate { port_idx, from, to } => {
@@ -878,6 +874,9 @@ impl<PM: PortMapped> ScenarioRunner<PM> {
                 }
                 ResolvedChurn::RefreshAll => self.refresh_all(t),
             }
+        }
+        if any_crash || any_restore {
+            rebuild_live(&mut self.live, &self.crashed);
         }
         if any_crash {
             self.observe_survival();

@@ -100,6 +100,20 @@ pub(crate) fn draw_arrival(
     Some((client, port_idx))
 }
 
+/// Rebuilds `live` as every node not marked in `crashed`, ascending, in
+/// one O(n) pass that reuses the list's capacity. The runners call it
+/// once after each churn action that crashed or restored nodes: nothing
+/// reads `live` while an action's batch is applied, so every later draw
+/// sees the list that per-node updates would have produced.
+pub(crate) fn rebuild_live(live: &mut Vec<NodeId>, crashed: &[bool]) {
+    live.clear();
+    live.extend(
+        (0..crashed.len())
+            .filter(|&v| !crashed[v])
+            .map(NodeId::from),
+    );
+}
+
 /// A churn action with every random draw already made: concrete nodes to
 /// crash/restore, a concrete migration target — ready to execute on
 /// either runtime.
@@ -121,10 +135,11 @@ pub(crate) enum ResolvedChurn {
 
 /// Resolves a spec-level [`ChurnAction`] against the current world state,
 /// consuming the RNG in the one canonical order. Both runtimes call this
-/// with identical `(rng, live, crashed, homes)` state, so who crashes,
-/// who restores and where services migrate is decided *once*, here — the
-/// runners merely execute the decisions. This is the other half of the
-/// deterministic contract established by [`Timeline::compile`].
+/// with identical `(rng, live, crashed, homes)` state (`live` ascending,
+/// as [`rebuild_live`] leaves it), so who crashes, who restores and where
+/// services migrate is decided *once*, here — the runners merely execute
+/// the decisions. This is the other half of the deterministic contract
+/// established by [`Timeline::compile`].
 pub(crate) fn resolve_churn(
     action: &ChurnAction,
     rng: &mut StdRng,
@@ -165,12 +180,19 @@ pub(crate) fn resolve_churn(
             })
             .collect(),
         ChurnAction::MigrateRandom { port_index } => {
+            // one draw over the live list with `from` left out: index
+            // `k` past `from`'s position names the next node up
             let from = homes[port_index];
-            let pool: Vec<NodeId> = live.iter().copied().filter(|&v| v != from).collect();
-            if pool.is_empty() {
+            let skip = live.binary_search(&from).ok();
+            let len = live.len() - usize::from(skip.is_some());
+            if len == 0 {
                 return Vec::new();
             }
-            let to = pick(&pool, rng);
+            let k = rng.gen_range(0..len);
+            let to = match skip {
+                Some(pos) if k >= pos => live[k + 1],
+                _ => live[k],
+            };
             vec![ResolvedChurn::Migrate {
                 port_idx: port_index,
                 from,
@@ -202,7 +224,125 @@ pub(crate) fn resolve_churn(
 mod tests {
     use super::*;
     use crate::scenarios;
+    use crate::spec::PortPopularity;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// The per-node upkeep [`rebuild_live`] replaced: a binary search
+    /// plus an O(n) shift for every crashed or restored node.
+    fn reference_upkeep(live: &mut Vec<NodeId>, r: &ResolvedChurn) {
+        match *r {
+            ResolvedChurn::Crash(v) => {
+                if let Ok(pos) = live.binary_search(&v) {
+                    live.remove(pos);
+                }
+            }
+            ResolvedChurn::Restore { node, .. } => {
+                if let Err(pos) = live.binary_search(&node) {
+                    live.insert(pos, node);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The migration draw the indexed skip replaced: copy the live list
+    /// without `from`, then pick from the copy.
+    fn reference_migration(rng: &mut StdRng, live: &[NodeId], from: NodeId) -> Option<NodeId> {
+        let pool: Vec<NodeId> = live.iter().copied().filter(|&v| v != from).collect();
+        (!pool.is_empty()).then(|| pick(&pool, rng))
+    }
+
+    /// A random node-reshaping churn action over `n` nodes and `ports`
+    /// ports. Crash groups repeat a member and may name dead nodes.
+    fn random_action(g: &mut StdRng, n: usize, ports: usize) -> ChurnAction {
+        match g.gen_range(0..5) {
+            0 => ChurnAction::CrashRandom {
+                count: g.gen_range(0..n + 2),
+                spare_servers: g.gen_bool(0.5),
+            },
+            1 => {
+                let mut nodes: Vec<usize> =
+                    (0..g.gen_range(1..6)).map(|_| g.gen_range(0..n)).collect();
+                nodes.push(nodes[0]);
+                ChurnAction::CrashGroup { nodes }
+            }
+            2 => ChurnAction::CrashServer {
+                port_index: g.gen_range(0..ports),
+            },
+            3 => ChurnAction::MigrateRandom {
+                port_index: g.gen_range(0..ports),
+            },
+            _ => ChurnAction::RestoreAll {
+                clear_caches: g.gen_bool(0.5),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Rebuilding the live list once per action gives the list the
+        /// per-node upkeep gives, strictly ascending, after every action
+        /// of a random churn sequence; arrival draws and migration draws
+        /// (from every node, live or crashed) then consume the RNG the
+        /// same way and name the same nodes.
+        #[test]
+        fn rebuilt_live_list_matches_per_node_upkeep(
+            n in 1usize..40,
+            ports in 1usize..4,
+            steps in 1usize..24,
+            seed in any::<u64>(),
+        ) {
+            let mut g = StdRng::seed_from_u64(seed);
+            let mut rng = StdRng::seed_from_u64(!seed);
+            let sampler = PopularitySampler::new(ports, PortPopularity::Uniform);
+            let mut crashed = vec![false; n];
+            let mut live: Vec<NodeId> = (0..n).map(NodeId::from).collect();
+            let mut reference = live.clone();
+            let mut homes: Vec<NodeId> =
+                (0..ports).map(|_| NodeId::from(g.gen_range(0..n))).collect();
+            for _ in 0..steps {
+                let action = random_action(&mut g, n, ports);
+                for r in resolve_churn(&action, &mut rng, &live, &crashed, &homes) {
+                    match r {
+                        ResolvedChurn::Crash(v) => crashed[v.index()] = true,
+                        ResolvedChurn::Restore { node, .. } => crashed[node.index()] = false,
+                        ResolvedChurn::Migrate { port_idx, to, .. } => homes[port_idx] = to,
+                        _ => {}
+                    }
+                    reference_upkeep(&mut reference, &r);
+                }
+                rebuild_live(&mut live, &crashed);
+                prop_assert_eq!(&live, &reference);
+                prop_assert!(live.windows(2).all(|w| w[0] < w[1]));
+                let (mut a, mut b) = (rng.clone(), rng.clone());
+                for _ in 0..3 {
+                    prop_assert_eq!(
+                        draw_arrival(&mut a, &live, &sampler),
+                        draw_arrival(&mut b, &reference, &sampler)
+                    );
+                }
+                for from in (0..n).map(NodeId::from) {
+                    let (mut a, mut b) = (rng.clone(), rng.clone());
+                    let got = resolve_churn(
+                        &ChurnAction::MigrateRandom { port_index: 0 },
+                        &mut a,
+                        &live,
+                        &crashed,
+                        &[from],
+                    );
+                    let got = match got.as_slice() {
+                        [] => None,
+                        [ResolvedChurn::Migrate { to, .. }] => Some(*to),
+                        other => panic!("unexpected migration {other:?}"),
+                    };
+                    prop_assert_eq!(got, reference_migration(&mut b, &reference, from));
+                    prop_assert_eq!(a, b);
+                }
+            }
+        }
+    }
 
     #[test]
     fn compile_is_deterministic_and_ordered() {
